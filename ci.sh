@@ -9,6 +9,9 @@ cargo build --workspace --release
 echo "== tier-1: test suite =="
 cargo test --workspace --quiet
 
+echo "== lints: clippy is clean on every target =="
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "== pipeline cross-check: library verdicts at jobs 1/2/8 =="
 cargo test --release --test pipeline --quiet
 
@@ -127,6 +130,21 @@ grep -q '"discrepancies":\[\]' /tmp/lkmm-conf-warm.json
 grep -q 'lkmm: .* 0 candidates enumerated' /tmp/lkmm-conf-warm.err
 grep -q 'c11: .* 0 candidates enumerated' /tmp/lkmm-conf-warm.err
 rm -f "$CONF_STORE" /tmp/lkmm-conf-cold.json /tmp/lkmm-conf-warm.json /tmp/lkmm-conf-warm.err
+
+echo "== conformance: unit workers leave the report and the store byte-identical =="
+# A cycle campaign's corpus tests are checked --jobs at a time and
+# committed in corpus order, so the JSON report and the store file must
+# match the sequential loop's byte for byte.
+for J in 1 2; do
+    rm -f /tmp/lkmm-ci-pool-j$J.store
+    "$BIN" conformance --max-cycle-len 5 --sim-stride 8 --json \
+        --store /tmp/lkmm-ci-pool-j$J.store --jobs $J > /tmp/lkmm-ci-pool-j$J.json 2> /dev/null
+done
+cmp /tmp/lkmm-ci-pool-j1.json /tmp/lkmm-ci-pool-j2.json
+cmp /tmp/lkmm-ci-pool-j1.store /tmp/lkmm-ci-pool-j2.store
+grep -q '"clean":true' /tmp/lkmm-ci-pool-j2.json
+rm -f /tmp/lkmm-ci-pool-j1.store /tmp/lkmm-ci-pool-j2.store \
+    /tmp/lkmm-ci-pool-j1.json /tmp/lkmm-ci-pool-j2.json
 
 echo "== enumerator pruning: pruned and naive strategies emit identical witnesses =="
 cargo test --release --test prune --quiet

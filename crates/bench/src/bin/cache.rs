@@ -6,9 +6,9 @@
 //!
 //! * `uncached`  — every test checked from scratch, no store;
 //! * `cold`      — a fresh on-disk store: canonicalize + hash + check +
-//!                 append, i.e. the cache's write-path overhead;
+//!   append, i.e. the cache's write-path overhead;
 //! * `warm`      — the same store reopened: pure replay, zero candidate
-//!                 enumerations;
+//!   enumerations;
 //!
 //! then writes `BENCH_CACHE.json` in the working directory and prints a
 //! summary table. Results are asserted identical across configurations

@@ -62,11 +62,12 @@ impl CatOutcome {
 
 /// A cat runtime value.
 ///
-/// Sets and relations are behind `Arc`s so that (a) cloning an
+/// Sets and relations are behind `Rc`s (values never leave the
+/// evaluating thread) so that (a) cloning an
 /// environment — which happens once per candidate when a [`CatSession`]
 /// reuses its cached static environment — bumps reference counts instead
 /// of copying bitsets, and (b) operators can mutate uniquely-owned
-/// intermediate results in place (`Arc::try_unwrap` copy-on-write), which
+/// intermediate results in place (`Rc::try_unwrap` copy-on-write), which
 /// turns the allocation-heavy union chains of `let rec` fixpoints into
 /// in-place bit-ors. Relations are [`ArenaRel`] handles: when evaluation
 /// runs with a pool attached (the pipeline's per-worker arena), every
@@ -74,8 +75,8 @@ impl CatOutcome {
 /// candidate instead of hitting the allocator.
 #[derive(Clone, Debug)]
 enum Value {
-    Set(Arc<EventSet>),
-    Rel(Arc<ArenaRel>),
+    Set(Rc<EventSet>),
+    Rel(Rc<ArenaRel>),
     Fun(Rc<FunVal>),
 }
 
@@ -85,41 +86,41 @@ type Pool<'p> = Option<&'p SharedArena>;
 /// Copy-on-write binary relation operator: mutate in place when the
 /// left operand is uniquely owned, copy into pooled storage otherwise.
 fn cow_rel(
-    a: Arc<ArenaRel>,
+    a: Rc<ArenaRel>,
     b: &Relation,
     pool: Pool<'_>,
     in_place: impl FnOnce(&mut Relation, &Relation),
-) -> Arc<ArenaRel> {
-    match Arc::try_unwrap(a) {
+) -> Rc<ArenaRel> {
+    match Rc::try_unwrap(a) {
         Ok(mut r) => {
             in_place(&mut r, b);
-            Arc::new(r)
+            Rc::new(r)
         }
         Err(a) => {
             let mut r = acquire_rel(pool, a.universe());
             r.copy_from(&a);
             in_place(&mut r, b);
-            Arc::new(r)
+            Rc::new(r)
         }
     }
 }
 
 /// Copy-on-write unary relation operator.
 fn cow_unary(
-    a: Arc<ArenaRel>,
+    a: Rc<ArenaRel>,
     pool: Pool<'_>,
     in_place: impl FnOnce(&mut Relation),
-) -> Arc<ArenaRel> {
-    match Arc::try_unwrap(a) {
+) -> Rc<ArenaRel> {
+    match Rc::try_unwrap(a) {
         Ok(mut r) => {
             in_place(&mut r);
-            Arc::new(r)
+            Rc::new(r)
         }
         Err(a) => {
             let mut r = acquire_rel(pool, a.universe());
             r.copy_from(&a);
             in_place(&mut r);
-            Arc::new(r)
+            Rc::new(r)
         }
     }
 }
@@ -222,7 +223,7 @@ fn eval_rec(
         if !b.params.is_empty() {
             return Err(EvalError { message: "recursive functions are not supported".into() });
         }
-        env.insert(b.name.clone(), Value::Rel(Arc::new(acquire_rel(pool, n))));
+        env.insert(b.name.clone(), Value::Rel(Rc::new(acquire_rel(pool, n))));
     }
     // Least fixpoint by iteration; cat recursion over ∪/;/closures is
     // monotone, so this terminates (the lattice of relations is finite).
@@ -240,7 +241,7 @@ fn eval_rec(
             let new = eval_expr(&b.body, env, pool)?;
             let new_rel = as_rel(new, n)?;
             let old = match env.get(&b.name) {
-                Some(Value::Rel(r)) => Arc::clone(r),
+                Some(Value::Rel(r)) => Rc::clone(r),
                 _ => unreachable!("rec name bound above"),
             };
             if *new_rel != *old {
@@ -276,7 +277,7 @@ fn eval_check(
     })
 }
 
-fn as_rel(v: Value, _n: usize) -> Result<Arc<ArenaRel>, EvalError> {
+fn as_rel(v: Value, _n: usize) -> Result<Rc<ArenaRel>, EvalError> {
     match v {
         Value::Rel(r) => Ok(r),
         Value::Set(_) => Err(EvalError { message: "expected a relation, found a set".into() }),
@@ -295,7 +296,7 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
             // `0` is the empty relation; its universe is taken from `id`.
             match env.get("id") {
                 Some(Value::Rel(id)) => {
-                    Ok(Value::Rel(Arc::new(acquire_rel(pool, id.universe()))))
+                    Ok(Value::Rel(Rc::new(acquire_rel(pool, id.universe()))))
                 }
                 _ => Err(err("internal: `id` missing from base env".into())),
             }
@@ -308,8 +309,8 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
             let vals: Vec<Value> =
                 args.iter().map(|a| eval_expr(a, env, pool)).collect::<Result<_, _>>()?;
             match (name.as_str(), vals.as_slice()) {
-                ("domain", [Value::Rel(r)]) => Ok(Value::Set(Arc::new(r.domain()))),
-                ("range", [Value::Rel(r)]) => Ok(Value::Set(Arc::new(r.range()))),
+                ("domain", [Value::Rel(r)]) => Ok(Value::Set(Rc::new(r.domain()))),
+                ("range", [Value::Rel(r)]) => Ok(Value::Set(Rc::new(r.range()))),
                 _ => match env.get(name) {
                     Some(Value::Fun(f)) => {
                         if f.params.len() != args.len() {
@@ -336,26 +337,26 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
                 for i in s.iter() {
                     r.insert(i, i);
                 }
-                Ok(Value::Rel(Arc::new(r)))
+                Ok(Value::Rel(Rc::new(r)))
             }
             _ => Err(err("`[…]` expects a set".into())),
         },
         Expr::Union(a, b) => binop(a, b, env, pool, "union", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.union(&b)))),
+            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Rc::new(a.union(&b)))),
             (Value::Rel(a), Value::Rel(b)) => {
                 Some(Value::Rel(cow_rel(a, &b, pool, Relation::union_in_place)))
             }
             _ => None,
         }),
         Expr::Inter(a, b) => binop(a, b, env, pool, "intersection", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.intersection(&b)))),
+            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Rc::new(a.intersection(&b)))),
             (Value::Rel(a), Value::Rel(b)) => {
                 Some(Value::Rel(cow_rel(a, &b, pool, Relation::intersection_in_place)))
             }
             _ => None,
         }),
         Expr::Diff(a, b) => binop(a, b, env, pool, "difference", |x, y, pool| match (x, y) {
-            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Arc::new(a.difference(&b)))),
+            (Value::Set(a), Value::Set(b)) => Some(Value::Set(Rc::new(a.difference(&b)))),
             (Value::Rel(a), Value::Rel(b)) => {
                 Some(Value::Rel(cow_rel(a, &b, pool, Relation::difference_in_place)))
             }
@@ -365,7 +366,7 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
             (Value::Rel(a), Value::Rel(b)) => {
                 let mut out = acquire_rel(pool, a.universe());
                 a.seq_into(&b, &mut out);
-                Some(Value::Rel(Arc::new(out)))
+                Some(Value::Rel(Rc::new(out)))
             }
             _ => None,
         }),
@@ -378,13 +379,13 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
                             out.insert(i, j);
                         }
                     }
-                    Some(Value::Rel(Arc::new(out)))
+                    Some(Value::Rel(Rc::new(out)))
                 }
                 _ => None,
             })
         }
         Expr::Complement(inner) => match eval_expr(inner, env, pool)? {
-            Value::Set(s) => Ok(Value::Set(Arc::new(s.complement()))),
+            Value::Set(s) => Ok(Value::Set(Rc::new(s.complement()))),
             Value::Rel(r) => Ok(Value::Rel(cow_unary(r, pool, Relation::complement_in_place))),
             Value::Fun(_) => Err(err("`~` applied to a function".into())),
         },
@@ -416,7 +417,7 @@ fn eval_expr(e: &Expr, env: &Env, pool: Pool<'_>) -> Result<Value, EvalError> {
             Value::Rel(r) => {
                 let mut out = acquire_rel(pool, r.universe());
                 r.inverse_into(&mut out);
-                Ok(Value::Rel(Arc::new(out)))
+                Ok(Value::Rel(Rc::new(out)))
             }
             _ => Err(err("`^-1` expects a relation".into())),
         },
@@ -458,7 +459,7 @@ fn static_env(x: &Execution, facts: &ExecFacts<'_>) -> Result<Env, EvalError> {
     let mut rel = |name: &str, r: &Relation| {
         let mut h = acquire_rel(pool, n);
         h.copy_from(r);
-        env.insert(name.to_string(), Value::Rel(Arc::new(h)));
+        env.insert(name.to_string(), Value::Rel(Rc::new(h)));
     };
     rel("po", &x.po);
     rel("addr", &x.addr);
@@ -471,7 +472,7 @@ fn static_env(x: &Execution, facts: &ExecFacts<'_>) -> Result<Env, EvalError> {
     rel("id", &Relation::identity(n));
     rel("crit", facts.crit());
     let mut set = |name: &str, s: EventSet| {
-        env.insert(name.to_string(), Value::Set(Arc::new(s)));
+        env.insert(name.to_string(), Value::Set(Rc::new(s)));
     };
     set("R", facts.reads().clone());
     set("W", facts.writes().clone());
@@ -500,10 +501,10 @@ fn insert_witness(env: &mut Env, x: &Execution, pool: Pool<'_>) {
     let n = x.universe();
     let mut rf = acquire_rel(pool, n);
     rf.copy_from(&x.rf);
-    env.insert("rf".to_string(), Value::Rel(Arc::new(rf)));
+    env.insert("rf".to_string(), Value::Rel(Rc::new(rf)));
     let mut co = acquire_rel(pool, n);
     co.copy_from(&x.co);
-    env.insert("co".to_string(), Value::Rel(Arc::new(co)));
+    env.insert("co".to_string(), Value::Rel(Rc::new(co)));
 }
 
 /// A stateful evaluation handle for checking many candidates of the same

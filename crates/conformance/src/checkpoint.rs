@@ -399,10 +399,7 @@ impl CheckpointLog {
         if faultpoint::should_fail("ckpt.torn") {
             self.file.write_all(&frame[..frame.len() / 2])?;
             self.file.sync_data()?;
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "faultpoint: torn checkpoint frame at `ckpt.torn`",
-            ));
+            return Err(io::Error::other("faultpoint: torn checkpoint frame at `ckpt.torn`"));
         }
         self.file.write_all(&frame)?;
         self.file.sync_data()?;

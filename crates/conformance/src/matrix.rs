@@ -268,7 +268,9 @@ pub struct MatrixOptions<'a> {
     /// Cache version salt (the per-model component is the model name,
     /// already folded into every key by the batch checker).
     pub salt: &'a str,
-    /// Pipeline worker threads per check (0 = all hardware threads).
+    /// Worker threads (0 = all hardware threads): pipeline workers per
+    /// check in [`build_matrix`], unit workers in
+    /// [`crate::drive_campaign`].
     pub jobs: usize,
     /// Per-worker candidate queue bound.
     pub queue_depth: usize,

@@ -845,10 +845,10 @@ fn enumerate_witnesses_pruned(
 
     let nr = pre.reads.len();
     let mut peers: Vec<Vec<usize>> = vec![Vec::new(); nr];
-    for i in 0..nr {
+    for (i, mine) in peers.iter_mut().enumerate() {
         for j in 0..nr {
             if i != j && pre.reads[i].1 == pre.reads[j].1 {
-                peers[i].push(j);
+                mine.push(j);
             }
         }
     }

@@ -145,7 +145,7 @@ impl Drop for ReadGuard<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn uncontended_grace_period_returns() {
@@ -174,7 +174,12 @@ mod tests {
 
     /// The fundamental law at runtime: a writer retires an object only
     /// after a grace period, so no reader may ever observe a retired
-    /// ("poisoned") object.
+    /// ("poisoned") object. The test makes the interleaving it claims
+    /// happen: readers check in from inside a critical section before
+    /// the updater starts, and every generation is published while a
+    /// reader holds the previous one inside its section, then rereads
+    /// it once the new one is out — the read a grace period must wait
+    /// for.
     #[test]
     fn grace_period_guarantee_under_stress() {
         const READERS: usize = 3;
@@ -182,43 +187,100 @@ mod tests {
         const POISON: usize = usize::MAX;
 
         let rcu = Arc::new(Urcu::new(READERS));
-        // Two slots; `current` names the live one.
+        // Two slots; `current` names the live one, which holds the
+        // generation that published it.
         let slots: Arc<[AtomicUsize; 2]> =
             Arc::new([AtomicUsize::new(1), AtomicUsize::new(POISON)]);
         let current = Arc::new(AtomicUsize::new(0));
+        // The newest published generation.
+        let published = Arc::new(AtomicUsize::new(1));
+        // The generation the updater wants a reader to hold open across
+        // its next update (0: none — never during a grace period, which
+        // must not wait for a reader that waits for the next update),
+        // and the generation a reader holds (0: none).
+        let want = Arc::new(AtomicUsize::new(0));
+        let holding = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(READERS + 1));
 
         let mut handles = Vec::new();
         for tid in 0..READERS {
-            let rcu = rcu.clone();
-            let slots = slots.clone();
-            let current = current.clone();
-            let stop = stop.clone();
+            let (rcu, slots, current) = (rcu.clone(), slots.clone(), current.clone());
+            let (published, want, holding) = (published.clone(), want.clone(), holding.clone());
+            let (stop, start) = (stop.clone(), start.clone());
             handles.push(std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                {
                     let _g = rcu.read_guard(tid);
-                    let idx = current.load(Ordering::Relaxed);
-                    let v = slots[idx].load(Ordering::Relaxed);
-                    assert_ne!(v, POISON, "reader observed a freed object");
-                    reads += 1;
+                    start.wait();
                 }
-                reads
+                let (mut reads, mut overlapped) = (0u64, 0u64);
+                while !stop.load(Ordering::Acquire) {
+                    {
+                        let _g = rcu.read_guard(tid);
+                        let idx = current.load(Ordering::Relaxed);
+                        let v = slots[idx].load(Ordering::Relaxed);
+                        assert_ne!(v, POISON, "reader observed a freed object");
+                        reads += 1;
+                        if want.load(Ordering::Acquire) == v
+                            && holding
+                                .compare_exchange(0, v, Ordering::AcqRel, Ordering::Acquire)
+                                .is_ok()
+                        {
+                            while published.load(Ordering::Acquire) <= v
+                                && !stop.load(Ordering::Acquire)
+                            {
+                                std::thread::yield_now();
+                            }
+                            if published.load(Ordering::Acquire) > v {
+                                let stale = slots[idx].load(Ordering::Relaxed);
+                                assert_ne!(stale, POISON, "a grace period ended under a reader");
+                                overlapped += 1;
+                            }
+                            holding.store(0, Ordering::Release);
+                        }
+                    }
+                    // Four busy threads share fewer CPUs: give the
+                    // updater its turn between sections.
+                    std::thread::yield_now();
+                }
+                (reads, overlapped)
             }));
         }
 
-        for gen in 2..2 + UPDATES {
+        // Every reader is inside a critical section past this point.
+        start.wait();
+        'updates: for gen in 2..2 + UPDATES {
+            want.store(gen - 1, Ordering::Release);
+            while holding.load(Ordering::Acquire) != gen - 1 {
+                // A reader whose assertion failed will never hold
+                // another generation: stop and report it below.
+                if handles.iter().any(std::thread::JoinHandle::is_finished) {
+                    break 'updates;
+                }
+                std::thread::yield_now();
+            }
+            want.store(0, Ordering::Release);
             let old = current.load(Ordering::Relaxed);
             let new = 1 - old;
             slots[new].store(gen, Ordering::Relaxed);
             current.store(new, Ordering::Relaxed);
+            published.store(gen, Ordering::Release);
             rcu.synchronize_rcu();
             // Grace period elapsed: no reader can still see `old`.
             slots[old].store(POISON, Ordering::Relaxed);
         }
         stop.store(true, Ordering::Release);
-        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total > 0, "readers must have made progress");
+        let (mut reads, mut overlapped) = (0u64, 0u64);
+        for h in handles {
+            let (r, o) = h.join().unwrap();
+            reads += r;
+            overlapped += o;
+        }
+        assert!(reads > 0, "readers must have made progress");
+        assert!(
+            overlapped >= UPDATES as u64,
+            "every update must overlap a reader's stale read: {overlapped} of {UPDATES}"
+        );
     }
 
     #[test]

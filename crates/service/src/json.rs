@@ -330,7 +330,7 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.at;
-        if self.eat(b'-') {}
+        self.eat(b'-');
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.at += 1;
         }

@@ -422,8 +422,8 @@ mod tests {
 
     fn sample(i: usize) -> TestResult {
         TestResult {
-            verdict: if i % 2 == 0 { Verdict::Allowed } else { Verdict::Forbidden },
-            condition_holds: i % 3 == 0,
+            verdict: if i.is_multiple_of(2) { Verdict::Allowed } else { Verdict::Forbidden },
+            condition_holds: i.is_multiple_of(3),
             candidates: 10 + i,
             allowed: 5 + i,
             witnesses: i,

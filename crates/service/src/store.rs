@@ -410,10 +410,7 @@ pub(crate) fn write_snapshot(dst: &Path, records: &[(u128, TestResult)]) -> io::
         // Simulated crash mid-rewrite: half the snapshot reaches the
         // temp file, the rename never happens, the original survives.
         f.write_all(&out[..out.len() / 2])?;
-        return Err(io::Error::new(
-            io::ErrorKind::Other,
-            "faultpoint: injected crash at `store.compact.crash`",
-        ));
+        return Err(io::Error::other("faultpoint: injected crash at `store.compact.crash`"));
     }
     f.write_all(&out)?;
     f.sync_data()?;
@@ -469,7 +466,8 @@ impl VerdictStore {
         let path = path.as_ref().to_path_buf();
         let lock = LockFile::acquire(&path)?;
         let reclaimed_pid = lock.reclaimed_pid;
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(&path)?;
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
@@ -486,7 +484,8 @@ impl VerdictStore {
             drop(file);
             let quarantine = path.with_extension("corrupt");
             fs::rename(&path, &quarantine)?;
-            file = OpenOptions::new().read(true).write(true).create(true).open(&path)?;
+            file =
+                OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
             file.write_all(MAGIC)?;
             // The rename and the fresh file must both survive a crash.
             fsync_dir(&path)?;
@@ -615,8 +614,7 @@ impl VerdictStore {
                 // before the "crash" — exactly what recovery truncates.
                 self.dirty_tail = true;
                 file.write_all(&record[..record.len() / 2])?;
-                return Err(io::Error::new(
-                    io::ErrorKind::Other,
+                return Err(io::Error::other(
                     "faultpoint: injected I/O error at `store.append.torn`",
                 ));
             }
@@ -979,8 +977,8 @@ mod tests {
 
     fn sample(i: usize) -> TestResult {
         TestResult {
-            verdict: if i % 2 == 0 { Verdict::Allowed } else { Verdict::Forbidden },
-            condition_holds: i % 3 == 0,
+            verdict: if i.is_multiple_of(2) { Verdict::Allowed } else { Verdict::Forbidden },
+            condition_holds: i.is_multiple_of(3),
             candidates: 10 + i,
             allowed: 5 + i,
             witnesses: i,

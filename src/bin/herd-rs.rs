@@ -10,10 +10,12 @@
 //! herd-rs store VERB PATH...       # maintain a verdict store offline
 //! ```
 //!
-//! `--jobs N` (`-j N`) checks candidate executions on `N` worker threads;
-//! the default `0` means one per available hardware thread. Output is
-//! byte-identical for every job count. `--early-exit` stops each check as
-//! soon as its verdict is decided (counts become lower bounds).
+//! `--jobs N` (`-j N`) checks candidate executions on `N` worker threads
+//! (a cycle `conformance` campaign instead checks `N` corpus tests at a
+//! time, one thread each); the default `0` means one per available
+//! hardware thread. Output is byte-identical for every job count.
+//! `--early-exit` stops each check as soon as its verdict is decided
+//! (counts become lower bounds).
 //!
 //! `--store PATH` routes checking through the persistent verdict store:
 //! results already cached are replayed without enumerating anything, and
@@ -122,7 +124,9 @@ const USAGE: &str = "usage: herd-rs [--model lkmm|lkmm-cat|sc|tso|armv8|power|c1
      \x20              store export SRC DST | store merge [--shards N] DST SRC...\n\
      \x20 --models M1,M2   decide several models from ONE enumeration pass per test; output is\n\
      \x20                  byte-identical to running --model M1, --model M2, ... in sequence\n\
-     \x20 --jobs N, -j N   worker threads (0 = all hardware threads; output is identical for any N)\n\
+     \x20 --jobs N, -j N   worker threads (0 = all hardware threads; output is identical for any N):\n\
+     \x20                  a test's candidates are split across them; a cycle `conformance`\n\
+     \x20                  campaign instead checks N corpus tests at a time, one thread each\n\
      \x20 --queue-depth N  per-worker candidate queue bound (default 256)\n\
      \x20 --early-exit     stop each check once its verdict is decided (not with --store)\n\
      \x20 --store PATH     answer from / append to a persistent verdict store\n\

@@ -9,8 +9,10 @@
 //! still discriminates the two disagreeing checkers.
 
 use linux_kernel_memory_model::conformance::{
-    human_table, json_report, recheck_violated, run_campaign, run_campaign_with, test_size,
-    CampaignConfig, ModelId, ModelSet, OracleKind, Recheck, SimConfig,
+    config_fingerprint, drive_campaign, human_table, json_report, recheck_violated,
+    run_campaign, run_campaign_with, test_size, CampaignConfig, CorpusEntry, CorpusStream,
+    MatrixOptions, ModelId, ModelPass, ModelSet, OracleKind, Origin, Recheck, ResilienceConfig,
+    SimConfig,
 };
 use linux_kernel_memory_model::exec::{
     ConsistencyModel, EnumOptions, Execution, PipelineOptions,
@@ -172,4 +174,80 @@ fn reports_render_and_stay_deterministic_across_runs() {
         Some(library::all().len() as u64)
     );
     assert!(human_table(&a).contains("no discrepancies"));
+}
+
+/// Library plus every cycle of length ≤ 4, a sampled simulator pass, an
+/// on-disk store: what a campaign's unit workers share out.
+fn pooled_campaign(jobs: usize, store: &std::path::Path) -> CampaignConfig {
+    CampaignConfig {
+        max_cycle_len: 4,
+        jobs,
+        store_path: Some(store.to_path_buf()),
+        sim: SimConfig { iterations: 50, seed: 7, stride: 8 },
+        ..CampaignConfig::default()
+    }
+}
+
+fn temp_store(tag: &str) -> std::path::PathBuf {
+    let p = std::env::temp_dir()
+        .join(format!("lkmm-conformance-{}-{tag}.vstore", std::process::id()));
+    let _ = std::fs::remove_file(&p);
+    p
+}
+
+#[test]
+fn report_and_store_bytes_are_identical_at_every_job_count() {
+    let mut reference: Option<(String, Vec<u8>)> = None;
+    for jobs in [1, 2, 8] {
+        let store = temp_store(&format!("jobs{jobs}"));
+        let cfg = pooled_campaign(jobs, &store);
+        let report = run_campaign(&cfg).unwrap();
+        assert!(report.clean());
+        let json = json_report(&report, &cfg).to_string();
+        let bytes = std::fs::read(&store).unwrap();
+        let _ = std::fs::remove_file(&store);
+        let _ = std::fs::remove_file(store.with_extension("vstore.lock"));
+        match &reference {
+            None => reference = Some((json, bytes)),
+            Some((j, b)) => {
+                assert_eq!(&json, j, "JSON at --jobs {jobs}");
+                assert!(&bytes == b, "store bytes differ at --jobs {jobs}");
+            }
+        }
+    }
+}
+
+#[test]
+fn adjacent_isomorphs_keep_sequential_provenance_at_every_job_count() {
+    // Each test, then a renamed isomorph (same canonical key), then the
+    // test again: duplicates always in flight together in a pool.
+    let entries: Vec<CorpusEntry> = library::all()
+        .iter()
+        .take(8)
+        .flat_map(|pt| {
+            let t = pt.test();
+            let twin = linux_kernel_memory_model::litmus::ast::Test {
+                name: format!("{}-twin", t.name),
+                ..t.clone()
+            };
+            [t.clone(), twin, t]
+        })
+        .map(|test| CorpusEntry { test, origin: Origin::Generated })
+        .collect();
+    let drive = |jobs: usize| -> Vec<ModelPass> {
+        let stream = CorpusStream::of(entries.clone());
+        let fp = config_fingerprint(&CampaignConfig::default(), stream.total());
+        let opts = MatrixOptions { jobs, ..MatrixOptions::default() };
+        let res = ResilienceConfig { retry_base_ms: 0, ..ResilienceConfig::default() };
+        let sim = SimConfig { iterations: 0, ..SimConfig::default() };
+        let (core, outcome) =
+            drive_campaign(stream, fp, &ModelSet::standard(), &opts, &res, &sim).unwrap();
+        assert!(outcome.failed_units.is_empty());
+        core.passes
+    };
+    let want = drive(1);
+    assert!(want.iter().all(|p| p.deduped >= 16), "two isomorphs per test: {want:?}");
+    for jobs in [2, 8] {
+        assert_eq!(drive(jobs), want, "--jobs {jobs}");
+    }
 }

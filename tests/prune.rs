@@ -23,8 +23,11 @@ fn with_strategy(strategy: EnumStrategy) -> EnumOptions {
     EnumOptions { strategy, ..Default::default() }
 }
 
+/// One candidate's `(rf, co)` edge lists.
+type Witness = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
 /// The `(rf, co)` witness sequence of a test under one strategy.
-fn witnesses(t: &Test, strategy: EnumStrategy) -> Vec<(Vec<(usize, usize)>, Vec<(usize, usize)>)> {
+fn witnesses(t: &Test, strategy: EnumStrategy) -> Vec<Witness> {
     enumerate(t, &with_strategy(strategy))
         .unwrap()
         .iter()
@@ -183,7 +186,7 @@ fn budget_trips_yield_job_count_deterministic_partial_tallies() {
                     .with_options(with_strategy(strategy))
                     .with_jobs(jobs)
                     .with_budget(budget.clone());
-                let got = herd.check_governed(&test);
+                let got = herd.check_governed(test);
                 match &got.outcome {
                     CheckOutcome::Inconclusive { reason, partial } => {
                         assert_eq!(

@@ -120,6 +120,40 @@ fn stop_after_then_resume_is_byte_identical() {
 }
 
 #[test]
+fn pooled_suspend_then_resume_matches_the_uninterrupted_run_and_store() {
+    // Cycles and a sampled simulator keep units in flight past the
+    // suspend cursor; they are dropped uncommitted and recomputed on
+    // resume, so the report and the store's bytes both match.
+    let dir = temp_dir("pool-stop");
+    let run = |tag: &str, jobs: &str, extra: &[&str]| {
+        let store = dir.join(format!("{tag}.vstore"));
+        let ckpt = dir.join(format!("{tag}.ck"));
+        let mut args = vec!["--max-cycle-len", "4", "--sim-iterations", "20", "--sim-stride", "8"];
+        args.extend_from_slice(&["--retry-base-ms", "0", "--json", "--checkpoint-every", "16"]);
+        args.extend_from_slice(&["--store", store.to_str().unwrap()]);
+        args.extend_from_slice(&["--checkpoint", ckpt.to_str().unwrap(), "--jobs", jobs]);
+        args.extend_from_slice(extra);
+        args.push("conformance");
+        let out = herd(&args, None);
+        assert_eq!(out.status.code(), Some(0), "{tag}: {}", stderr(&out));
+        (stdout(&out), store)
+    };
+    let (reference, ref_store) = run("ref", "1", &[]);
+    for jobs in ["2", "8"] {
+        let tag = format!("j{jobs}");
+        let (suspended, _) = run(&tag, jobs, &["--stop-after", "50"]);
+        assert!(suspended.is_empty(), "a suspended campaign prints no report");
+        let (resumed, store) = run(&tag, jobs, &["--resume"]);
+        assert_eq!(resumed, reference, "{tag}: resumed JSON differs");
+        assert!(
+            std::fs::read(&store).unwrap() == std::fs::read(&ref_store).unwrap(),
+            "{tag}: store bytes differ from the uninterrupted run's"
+        );
+        assert_scrub_clean(store.to_str().unwrap());
+    }
+}
+
+#[test]
 fn resume_refuses_a_checkpoint_from_a_different_config() {
     let dir = temp_dir("mismatch");
     let store = dir.join("s.vstore");
@@ -289,6 +323,33 @@ mod crash {
         );
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
         assert_eq!(stdout(&out), reference);
+    }
+
+    #[test]
+    fn transient_faults_quarantine_the_same_units_at_every_job_count() {
+        // Fault hits are counted on the committing thread, in corpus
+        // order, so a pool sees the same faults at the same attempts.
+        let dir = temp_dir("quarantine-jobs");
+        for (spec, retries) in [("worker.transient=3:3", "2"), ("worker.transient=4:2", "0")] {
+            let mut outputs = Vec::new();
+            for jobs in ["1", "2", "8"] {
+                let tag = format!("{}-r{retries}-j{jobs}", &spec[17..]).replace(':', "_");
+                let store = dir.join(format!("{tag}.vstore"));
+                let ckpt = dir.join(format!("{tag}.ck"));
+                let args = campaign_args(
+                    store.to_str().unwrap(),
+                    ckpt.to_str().unwrap(),
+                    jobs,
+                    &["--max-retries", retries],
+                );
+                let out = herd(&args, Some(spec));
+                assert_eq!(out.status.code(), Some(8), "{tag}: {}", stderr(&out));
+                outputs.push(stdout(&out));
+            }
+            assert!(outputs[0].contains("\"failed_units\":[{"), "{}", outputs[0]);
+            assert_eq!(outputs[1], outputs[0], "{spec}: --jobs 2 quarantines differently");
+            assert_eq!(outputs[2], outputs[0], "{spec}: --jobs 8 quarantines differently");
+        }
     }
 
     #[test]

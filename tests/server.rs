@@ -64,7 +64,7 @@ fn batch_client(addr: SocketAddr, names: &[&str]) -> Vec<String> {
 
 fn shutdown_server(addr: SocketAddr) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    let _ = writeln!(stream, "{}", r#"{"op":"shutdown"}"#);
+    let _ = writeln!(stream, r#"{{"op":"shutdown"}}"#);
     let _ = stream.shutdown(Shutdown::Write);
     let _ = BufReader::new(stream).lines().map_while(Result::ok).count();
 }
