@@ -106,13 +106,34 @@ if command -v timeout > /dev/null 2>&1; then
 fi
 { printf '%s\n' 'not json' '{"op":"check","litmus":"C broken {"}'; \
   head -c 8192 /dev/zero | tr '\0' 'x'; printf '\n'; \
-  printf '%s\n' '{"op":"check","name":"SB"}'; } \
-    | $SERVE_CMD > /tmp/lkmm-serve-hostile.out 2> /dev/null
+  printf '%s\n' '{"op":"check","name":"SB"}'; } > /tmp/lkmm-serve-hostile.in
+$SERVE_CMD < /tmp/lkmm-serve-hostile.in > /tmp/lkmm-serve-hostile.out 2> /dev/null
 test "$(wc -l < /tmp/lkmm-serve-hostile.out)" -eq 4
 test "$(grep -c '"ok":false' /tmp/lkmm-serve-hostile.out)" -eq 3
 grep -q 'request line exceeds' /tmp/lkmm-serve-hostile.out
 grep -q '"name":"SB".*"verdict":"Allow"' /tmp/lkmm-serve-hostile.out
-rm -f /tmp/lkmm-serve-hostile.out
+# The TCP server frames and answers lines with the stdio loop's own
+# code: the same script through `serve --listen` and `client` must get
+# the same responses, wall-clock micros aside.
+"$BIN" serve --listen 127.0.0.1:0 --max-request-bytes 4096 --budget-ms 5000 \
+    2> /tmp/lkmm-srv-hostile.err &
+SRVH_PID=$!
+HPORT=""
+for _ in $(seq 1 100); do
+    HPORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' /tmp/lkmm-srv-hostile.err)
+    if [ -n "$HPORT" ]; then break; fi
+    sleep 0.1
+done
+test -n "$HPORT"
+"$BIN" client --connect 127.0.0.1:"$HPORT" < /tmp/lkmm-serve-hostile.in \
+    > /tmp/lkmm-serve-hostile-tcp.out
+printf '%s\n' '{"op":"shutdown"}' | "$BIN" client --connect 127.0.0.1:"$HPORT" > /dev/null
+wait "$SRVH_PID"
+sed 's/,"micros":[0-9]*//' /tmp/lkmm-serve-hostile.out > /tmp/lkmm-serve-hostile.cmp
+sed 's/,"micros":[0-9]*//' /tmp/lkmm-serve-hostile-tcp.out > /tmp/lkmm-serve-hostile-tcp.cmp
+cmp /tmp/lkmm-serve-hostile.cmp /tmp/lkmm-serve-hostile-tcp.cmp
+rm -f /tmp/lkmm-serve-hostile.in /tmp/lkmm-serve-hostile.out /tmp/lkmm-serve-hostile-tcp.out \
+    /tmp/lkmm-serve-hostile.cmp /tmp/lkmm-serve-hostile-tcp.cmp /tmp/lkmm-srv-hostile.err
 
 echo "== conformance: short campaign is clean, warm replay is byte-identical =="
 CONF_STORE=/tmp/lkmm-ci-conf-store.bin

@@ -61,9 +61,9 @@ fn run_store_pass(
     let model = Lkmm::new();
     let mut checker = BatchChecker::new(&model, store, "bench");
     let start = Instant::now();
-    let report = checker.check_corpus(tests).expect("corpus checks");
+    let report = checker.check_corpus(tests).expect("corpus checks").columns.remove(0);
     let seconds = start.elapsed().as_secs_f64();
-    let results = report.outcomes.iter().map(|o| o.result().expect("unbudgeted check completes").clone()).collect();
+    let results = report.outcomes.iter().flatten().map(|o| o.result().expect("unbudgeted check completes").clone()).collect();
     (seconds, report.candidates_enumerated, report.hits, report.deduped, results)
 }
 
@@ -74,11 +74,10 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
     let model = Lkmm::new();
     let herd_results: Vec<TestResult> = {
         let mut checker = BatchChecker::new(&model, VerdictStore::in_memory(), "bench");
-        checker
-            .check_corpus(&w.tests)
-            .unwrap()
+        checker.check_corpus(&w.tests).unwrap().columns[0]
             .outcomes
             .iter()
+            .flatten()
             .map(|o| o.result().expect("unbudgeted check completes").clone())
             .collect()
     };
@@ -88,7 +87,7 @@ fn bench_workload(w: &Workload, iters: usize, store_path: &Path) -> Vec<Measurem
         // A throwaway in-memory store per iteration: every test is a miss,
         // so this measures canonicalize + hash + check with no replay.
         let report = checker.check_corpus(&w.tests).unwrap();
-        assert_eq!(report.hits, 0);
+        assert_eq!(report.columns[0].hits, 0);
         std::hint::black_box(report);
     }
     out.push(Measurement {

@@ -3,9 +3,9 @@
 //! Dependency-free (no criterion): runs the seven-column conformance
 //! corpus (library + generated cycles) through
 //!
-//! * `sequential` — seven dedicated `BatchChecker`s, one cold pass per
-//!   column: every column enumerates every supported test itself;
-//! * `multi` — one `MultiBatchChecker` over the same columns and masks:
+//! * `sequential` — seven dedicated one-column `BatchChecker`s, one cold
+//!   pass per column: every column enumerates every supported test itself;
+//! * `multi` — one seven-column `BatchChecker` over the same masks:
 //!   each test is enumerated **once** and every column's verdict is
 //!   decided from that shared pass;
 //!
@@ -22,7 +22,7 @@
 use lkmm_conformance::campaign::corpus;
 use lkmm_conformance::{CampaignConfig, ModelId};
 use lkmm_litmus::ast::Test;
-use lkmm_service::{BatchChecker, MultiBatchChecker, MultiColumn, VerdictStore};
+use lkmm_service::{BatchChecker, Column, VerdictStore};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -99,12 +99,18 @@ fn main() {
             let mut checker =
                 BatchChecker::new(model.as_ref(), VerdictStore::in_memory(), &salts[c])
                     .with_jobs(1);
-            let report = checker.check_corpus(&per_column[c]).expect("sequential pass");
+            let report =
+                checker.check_corpus(&per_column[c]).expect("sequential pass").columns.remove(0);
             assert_eq!(report.inconclusive, 0, "unbudgeted pass stopped early");
             candidates += report.candidates_enumerated;
             passes += report.computed;
             verdicts.push(
-                report.outcomes.iter().map(|o| o.outcome.result().cloned()).collect::<Vec<_>>(),
+                report
+                    .outcomes
+                    .iter()
+                    .flatten()
+                    .map(|o| o.outcome.result().cloned())
+                    .collect::<Vec<_>>(),
             );
         }
         seq_seconds += start.elapsed().as_secs_f64();
@@ -120,15 +126,15 @@ fn main() {
     let mut multi_candidates = 0usize;
     let mut multi_passes = 0usize;
     for i in 0..iters {
-        let columns: Vec<MultiColumn<'_>> = models
+        let columns: Vec<Column<'_>> = models
             .iter()
             .zip(&salts)
-            .map(|(m, salt)| MultiColumn { model: m.as_ref(), salt: salt.clone() })
+            .map(|(m, salt)| Column { model: m.as_ref(), salt: salt.clone() })
             .collect();
         let mut checker =
-            MultiBatchChecker::new(columns, VerdictStore::in_memory()).with_jobs(1);
+            BatchChecker::new_multi(columns, VerdictStore::in_memory()).with_jobs(1);
         let start = Instant::now();
-        let report = checker.check_corpus(&tests, &mask).expect("multi pass");
+        let report = checker.check_corpus_masked(&tests, &mask).expect("multi pass");
         multi_seconds += start.elapsed().as_secs_f64();
         if i == 0 {
             multi_candidates = report.candidates_actual;

@@ -107,7 +107,7 @@ fn sequential(sources: &[String]) -> (Vec<u8>, f64) {
     let report = checker.check_corpus(&tests).expect("sequential pass runs");
     checker.flush().expect("sequential flush");
     let seconds = start.elapsed().as_secs_f64();
-    assert_eq!(report.computed, sources.len(), "bench corpus has a key collision");
+    assert_eq!(report.columns[0].computed, sources.len(), "bench corpus has a key collision");
     drop(checker);
     let out = temp_base("seq-export");
     VerdictStore::export(&base, &out).unwrap();

@@ -131,33 +131,13 @@ impl ConsistencyModel for CatModel {
 }
 
 impl ModelSession for CatSession<'_> {
+    /// Fuel exhaustion becomes a clean [`EvalStop`](lkmm_exec::EvalStop).
+    ///
     /// # Panics
     ///
     /// Panics if the model has semantic errors, like
-    /// [`ConsistencyModel::allows`] on [`CatModel`].
-    fn allows(&mut self, x: &Execution) -> bool {
-        ModelSession::allows_with(self, x, &ExecFacts::new(x))
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let allowed = self
-            .evaluate_with(x, facts)
-            .expect("cat evaluation failed")
-            .allowed();
-        if lkmm_core::faultpoint::should_fail("cat.misjudge") {
-            !allowed
-        } else {
-            allowed
-        }
-    }
-
-    /// Fuel exhaustion becomes a clean [`EvalStop`]; genuine semantic
-    /// errors still panic (contained by the pipeline's per-candidate
-    /// `catch_unwind` in governed runs).
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, lkmm_exec::EvalStop> {
-        self.try_allows_with(x, &ExecFacts::new(x))
-    }
-
+    /// [`ConsistencyModel::allows`] on [`CatModel`] (contained by the
+    /// pipeline's per-candidate `catch_unwind` in governed runs).
     fn try_allows_with(
         &mut self,
         x: &Execution,
@@ -168,6 +148,8 @@ impl ModelSession for CatSession<'_> {
             Err(e) if e.is_fuel_exhausted() => return Err(lkmm_exec::EvalStop),
             Err(e) => panic!("cat evaluation failed: {e}"),
         };
+        // `cat.misjudge` deliberately inverts verdicts so the conformance
+        // oracles can be demonstrated against a broken checker.
         if lkmm_core::faultpoint::should_fail("cat.misjudge") {
             Ok(!allowed)
         } else {

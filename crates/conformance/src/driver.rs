@@ -10,8 +10,8 @@
 //! simulator soundness) into running aggregates ([`CampaignCore`]) as
 //! each unit commits. No full verdict matrix is ever materialised.
 //!
-//! **Coordinator, workers, commit.** With `jobs` above one, the calling
-//! thread is a coordinator over up to `jobs` unit workers. It keeps
+//! **Coordinator, workers, commit.** The calling thread is a
+//! coordinator over `jobs` unit workers (none at `jobs = 1`). It keeps
 //! everything that depends on order or touches the store: it generates
 //! the next unit, canonicalises and keys it, resolves it against the
 //! dedupe map and the store ([`CorpusRun::resolve`]), and polls the
@@ -28,7 +28,9 @@
 //! — so counters, report and store bytes equal the `jobs = 1` loop's
 //! exactly. A unit with nothing to compute and no per-unit work commits
 //! without a worker, and the workers spawn when the first unit needs
-//! one. That buys three things a monolithic batch call cannot offer:
+//! one; at `jobs = 1` no unit does, so each commits as soon as it is
+//! planned and no thread is spawned. That buys three things a
+//! monolithic batch call cannot offer:
 //!
 //! * **Checkpoint.** Every `checkpoint_every` units the driver flushes
 //!   the verdict store and appends a framed manifest (see
@@ -80,8 +82,7 @@ use lkmm_core::faultpoint;
 use lkmm_exec::{effective_jobs, CheckOutcome, EnumOptions, MultiCheckOutcome, Verdict};
 use lkmm_litmus::ast::Test;
 use lkmm_service::{
-    BatchError, CorpusRun, MultiBatchChecker, MultiColumn, StoreError, UnitChecker, UnitFault,
-    UnitPlan, VerdictStore,
+    BatchChecker, Column, CorpusRun, StoreError, UnitChecker, UnitFault, UnitPlan, VerdictStore,
 };
 use lkmm_sim::rng::SplitMix64;
 use std::collections::{BTreeSet, HashSet, VecDeque};
@@ -523,30 +524,14 @@ impl Ledger<'_> {
     }
 }
 
-/// The `--jobs 1` loop: resolve and commit each unit in turn on this
-/// thread. Returns the suspend cursor, if `stop_after` stopped it.
-fn drive_inline(
-    stream: &mut CorpusStream,
-    start_at: usize,
-    run: &mut CorpusRun<'_, '_>,
-    ledger: &mut Ledger<'_>,
-) -> Result<Option<usize>, CampaignError> {
-    let none = HashSet::new();
-    for (off, entry) in stream.enumerate() {
-        let u = ledger.plan(run, start_at + off, entry?, &none);
-        if let Some(done) = ledger.commit(run, u)? {
-            return Ok(Some(done));
-        }
-    }
-    Ok(None)
-}
-
 /// The unit pool: this thread generates, resolves and commits units in
 /// corpus order through a bounded reorder window, while `workers`
 /// threads compute and run the per-unit checks. The workers spawn when
 /// the first unit needs one; a unit with nothing for a worker commits
 /// straight from the window, or as soon as it is planned when the window
-/// is empty. On suspend, units past the cursor are dropped uncommitted.
+/// is empty. With no workers no unit needs one, so every unit commits
+/// as soon as it is planned and no thread is spawned: the sequential
+/// loop. On suspend, units past the cursor are dropped uncommitted.
 fn drive_pool(
     stream: &mut CorpusStream,
     start_at: usize,
@@ -571,13 +556,13 @@ fn drive_pool(
         let mut front = start_at;
         let mut exhausted = false;
         loop {
-            while !exhausted && window.len() < workers * WINDOW_PER_WORKER {
+            while !exhausted && window.len() < workers.max(1) * WINDOW_PER_WORKER {
                 let Some(entry) = stream.next() else {
                     exhausted = true;
                     break;
                 };
                 let u = ledger.plan(run, front + window.len(), entry?, &in_flight);
-                if !ledger.needs_worker(&u) {
+                if workers == 0 || !ledger.needs_worker(&u) {
                     // With nothing ahead of it, it commits now, on a
                     // plan nothing has overtaken.
                     if window.is_empty() {
@@ -654,16 +639,16 @@ pub fn drive_campaign(
         })?,
         None => VerdictStore::in_memory(),
     };
-    let columns: Vec<MultiColumn<'_>> = ModelId::ALL
+    let columns: Vec<Column<'_>> = ModelId::ALL
         .iter()
-        .map(|&id| MultiColumn {
+        .map(|&id| Column {
             model: set.get(id),
             salt: format!("{}|col:{}", opts.salt, id.column()),
         })
         .collect();
     // `jobs` counts unit workers; each check's own pipeline runs inline
     // on its worker, so threads never exceed `jobs`.
-    let mut checker = MultiBatchChecker::new(columns, store)
+    let mut checker = BatchChecker::new_multi(columns, store)
         .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(opts.data_plane.clone())
         .with_jobs(1)
@@ -733,12 +718,12 @@ pub fn drive_campaign(
         checkpoints_written: 0,
     };
     let mut run = checker.begin_corpus();
-    let workers = effective_jobs(opts.jobs);
-    let suspended = if workers <= 1 {
-        drive_inline(&mut stream, start_at, &mut run, &mut ledger)?
-    } else {
-        drive_pool(&mut stream, start_at, &mut run, &mut ledger, workers)?
+    // `--jobs 1` is the coordinator alone.
+    let workers = match effective_jobs(opts.jobs) {
+        1 => 0,
+        jobs => jobs,
     };
+    let suspended = drive_pool(&mut stream, start_at, &mut run, &mut ledger, workers)?;
 
     if let Some(done) = suspended {
         run.flush().map_err(CampaignError::Store)?;
@@ -746,11 +731,8 @@ pub fn drive_campaign(
         return Err(CampaignError::Suspended { cursor: done, total: total_units });
     }
 
-    let report = match run.finish(total_units) {
-        Ok(r) => r,
-        Err(BatchError::Io(e)) => return Err(CampaignError::Store(e)),
-        Err(BatchError::Generate(e)) => unreachable!("check_unit does not generate: {e}"),
-    };
+    run.flush().map_err(CampaignError::Store)?;
+    let report = run.finish(total_units);
     // Final frame: cursor at the end, so resuming a *finished* clean
     // campaign costs one checkpoint load and zero corpus work.
     if ledger.log.is_some() {

@@ -5,12 +5,12 @@
 //! original C11 under the P0124 mapping. A [`ModelSet`] holds the
 //! instantiated checkers (tests swap in deliberately broken mutants via
 //! [`ModelSet::replace`]); [`build_matrix`] runs the corpus through the
-//! single-enumeration [`MultiBatchChecker`]: each cold test is
-//! enumerated **once** and every missing column's verdict is read off
-//! that one pass via the shared execution-facts layer. Cache keys are
-//! unchanged from the per-column [`lkmm_service::BatchChecker`] era, so
-//! a matrix over an on-disk store is incremental: re-running a campaign
-//! replays every cached verdict and enumerates nothing.
+//! single-enumeration [`BatchChecker`]: each cold test is enumerated
+//! **once** and every missing column's verdict is read off that one
+//! pass via the shared execution-facts layer. Cache keys are unchanged
+//! from the one-checker-per-column era, so a matrix over an on-disk
+//! store is incremental: re-running a campaign replays every cached
+//! verdict and enumerates nothing.
 //!
 //! Not every checker covers every test: the hardware models and C11 have
 //! no RCU read-side semantics, and C11 has no RCU at all ("–" in
@@ -22,7 +22,7 @@ use lkmm_litmus::ast::{Stmt, Test};
 use lkmm_litmus::library::Expect;
 use lkmm_litmus::FenceKind;
 use lkmm_models::OriginalC11;
-use lkmm_service::{MultiBatchChecker, MultiColumn, VerdictStore};
+use lkmm_service::{BatchChecker, Column, VerdictStore};
 use std::io;
 use std::path::Path;
 
@@ -302,11 +302,11 @@ impl Default for MatrixOptions<'_> {
 
 /// Build the verdict matrix for `corpus` under `set`.
 ///
-/// All columns run through one [`MultiBatchChecker`]: per test, every
+/// All columns run through one [`BatchChecker`]: per test, every
 /// column is first answered from the store, and the columns still
 /// missing share a single governed enumeration pass. Per-column cache
-/// keys are byte-identical to the old one-`BatchChecker`-per-column
-/// scheme (one salt per column: the checker folds the model's *name*
+/// keys are byte-identical to one-column checkers built with the same
+/// salts (one salt per column: the checker folds the model's *name*
 /// into every key, but the native and cat formulations both answer to
 /// "LKMM" — without a per-column salt a warm store would replay one
 /// column's verdicts for the other, silently blinding the native≡cat
@@ -340,25 +340,22 @@ pub fn build_matrix(
         Some(path) => VerdictStore::open(path)?,
         None => VerdictStore::in_memory(),
     };
-    let columns: Vec<MultiColumn<'_>> = ModelId::ALL
+    let columns: Vec<Column<'_>> = ModelId::ALL
         .iter()
-        .map(|&id| MultiColumn {
+        .map(|&id| Column {
             model: set.get(id),
             salt: format!("{}|col:{}", opts.salt, id.column()),
         })
         .collect();
-    let mut checker = MultiBatchChecker::new(columns, store)
+    let mut checker = BatchChecker::new_multi(columns, store)
         .with_options(EnumOptions { stats: opts.enum_stats.clone(), ..EnumOptions::default() })
         .with_pipeline_stats(opts.data_plane.clone())
         .with_jobs(opts.jobs)
         .with_queue_depth(opts.queue_depth)
         .with_budget(opts.budget.clone());
-    let report = match checker.check_corpus(&tests, &mask) {
+    let report = match checker.check_corpus_masked(&tests, &mask) {
         Ok(r) => r,
         Err(lkmm_service::BatchError::Io(e)) => return Err(e),
-        Err(lkmm_service::BatchError::Generate(e)) => {
-            unreachable!("check_corpus does not generate: {e}")
-        }
     };
 
     let mut passes = Vec::with_capacity(ModelId::ALL.len());

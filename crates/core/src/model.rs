@@ -310,11 +310,19 @@ pub struct LkmmSession {
 }
 
 impl ModelSession for LkmmSession {
-    fn allows(&mut self, x: &Execution) -> bool {
-        self.allows_with(x, &ExecFacts::new(x))
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
+    /// The native axioms are evaluated by closed-form relation algebra
+    /// (no open-ended fixpoints), so the step cost of one candidate is
+    /// charged as `1 + |events|` units against the shared tank.
+    fn try_allows_with(
+        &mut self,
+        x: &Execution,
+        facts: &ExecFacts<'_>,
+    ) -> Result<bool, lkmm_exec::EvalStop> {
+        if let Some(fuel) = &self.fuel {
+            if !fuel.consume(1 + x.universe() as u64) {
+                return Err(lkmm_exec::EvalStop);
+            }
+        }
         let hit = self
             .cache
             .as_ref()
@@ -326,31 +334,13 @@ impl ModelSession for LkmmSession {
         let statics = &self.cache.as_ref().expect("cache filled above").1;
         let allowed =
             self.model.violated_axiom_pooled(x, statics, facts, &mut self.tmp).is_none();
+        // `lkmm.misjudge` deliberately inverts verdicts so the conformance
+        // oracles can be demonstrated against a broken checker.
         if lkmm_core::faultpoint::should_fail("lkmm.misjudge") {
-            !allowed
+            Ok(!allowed)
         } else {
-            allowed
+            Ok(allowed)
         }
-    }
-
-    /// The native axioms are evaluated by closed-form relation algebra
-    /// (no open-ended fixpoints), so the step cost of one candidate is
-    /// charged as `1 + |events|` units against the shared tank.
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, lkmm_exec::EvalStop> {
-        self.try_allows_with(x, &ExecFacts::new(x))
-    }
-
-    fn try_allows_with(
-        &mut self,
-        x: &Execution,
-        facts: &ExecFacts<'_>,
-    ) -> Result<bool, lkmm_exec::EvalStop> {
-        if let Some(fuel) = &self.fuel {
-            if !fuel.consume(1 + x.universe() as u64) {
-                return Err(lkmm_exec::EvalStop);
-            }
-        }
-        Ok(self.allows_with(x, facts))
     }
 
     fn install_step_fuel(&mut self, fuel: Arc<lkmm_core::budget::StepFuel>) {

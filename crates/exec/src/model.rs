@@ -67,58 +67,35 @@ pub trait ConsistencyModel: Sync {
 
 /// Model evaluation stopped because its step fuel ran out. Not an
 /// evaluation *error*: the model is fine, the budget is spent. See
-/// [`ModelSession::try_allows`].
+/// [`ModelSession::try_allows_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalStop;
 
 /// A stateful evaluation handle used by one checking thread. Unlike
-/// [`ConsistencyModel::allows`], [`ModelSession::allows`] takes `&mut
-/// self`, so implementations can cache work shared by the candidates of
-/// one litmus test (static event sets, compiled environments, …) without
-/// interior mutability. Sessions are cheap to create: the pipeline opens
-/// one per worker.
+/// [`ConsistencyModel::allows`], [`ModelSession::try_allows_with`] takes
+/// `&mut self`, so implementations can cache work shared by the
+/// candidates of one litmus test (static event sets, compiled
+/// environments, …) without interior mutability. Sessions are cheap to
+/// create: the pipeline opens one per worker.
 pub trait ModelSession {
-    /// Whether the model allows this candidate execution.
-    fn allows(&mut self, x: &Execution) -> bool;
-
-    /// As [`ModelSession::allows`], reading shared derived relations
-    /// from `facts`. The default ignores the facts.
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        let _ = facts;
-        self.allows(x)
-    }
-
-    /// Budget-aware variant of [`ModelSession::allows`]: returns
-    /// `Err(EvalStop)` when the session's installed [`StepFuel`] runs
-    /// dry mid-evaluation. The default ignores fuel entirely, which is
-    /// correct for models whose per-candidate cost is trivially bounded.
-    fn try_allows(&mut self, x: &Execution) -> Result<bool, EvalStop> {
-        Ok(self.allows(x))
-    }
-
-    /// Budget-aware, facts-sharing evaluation — what the pipeline calls
-    /// for every candidate. The default falls back to
-    /// [`ModelSession::try_allows`], preserving the fuel behaviour of
-    /// sessions that predate the facts layer.
-    fn try_allows_with(
-        &mut self,
-        x: &Execution,
-        facts: &ExecFacts<'_>,
-    ) -> Result<bool, EvalStop> {
-        let _ = facts;
-        self.try_allows(x)
-    }
+    /// Whether the model allows this candidate execution, reading shared
+    /// derived relations from `facts`. Returns `Err(EvalStop)` when the
+    /// session's installed [`StepFuel`] runs dry mid-evaluation; with no
+    /// fuel installed it always returns `Ok`.
+    fn try_allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>)
+        -> Result<bool, EvalStop>;
 
     /// Hand the session a shared evaluation-step fuel tank. Sessions
     /// that meter their work (the cat interpreter, the native LKMM)
-    /// consume from it inside [`ModelSession::try_allows`]; the default
-    /// discards it.
+    /// consume from it inside [`ModelSession::try_allows_with`]; the
+    /// default discards it, which is correct for models whose
+    /// per-candidate cost is trivially bounded.
     fn install_step_fuel(&mut self, _fuel: Arc<StepFuel>) {}
 }
 
 /// Open an evaluation session for `model`: its own caching session if it
 /// provides one, otherwise a stateless adapter over
-/// [`ConsistencyModel::allows`].
+/// [`ConsistencyModel::allows_with`].
 pub fn open_session(model: &dyn ConsistencyModel) -> Box<dyn ModelSession + '_> {
     model.session().unwrap_or_else(|| Box::new(StatelessSession(model)))
 }
@@ -126,14 +103,6 @@ pub fn open_session(model: &dyn ConsistencyModel) -> Box<dyn ModelSession + '_> 
 struct StatelessSession<'a>(&'a dyn ConsistencyModel);
 
 impl ModelSession for StatelessSession<'_> {
-    fn allows(&mut self, x: &Execution) -> bool {
-        self.0.allows(x)
-    }
-
-    fn allows_with(&mut self, x: &Execution, facts: &ExecFacts<'_>) -> bool {
-        self.0.allows_with(x, facts)
-    }
-
     fn try_allows_with(
         &mut self,
         x: &Execution,
@@ -217,7 +186,8 @@ pub fn check_test(
     for_each_execution(test, opts, &mut |x| {
         candidates += 1;
         let facts = cache.facts(x);
-        if session.allows_with(x, &facts) {
+        let allows = session.try_allows_with(x, &facts).expect("no step fuel is installed");
+        if allows {
             allowed += 1;
             if x.satisfies_prop(&test.condition.prop) {
                 witnesses += 1;

@@ -1,21 +1,22 @@
 //! # lkmm-server
 //!
 //! Sharded multi-client verdict service: the `herd-rs serve --listen`
-//! backend. Three pieces, each reusing an existing layer rather than
-//! reinventing it:
+//! backend. It owns only what the network adds — admission, quotas,
+//! reply ordering, and shutdown. Request framing and answering are the
+//! stdio serve loop's own ([`lkmm_service::serve::read_request`] and
+//! [`lkmm_service::serve::answer_isolated`]), so the protocol, line
+//! handling, cache keys, and verdicts are identical to `herd-rs serve`
+//! on stdin/stdout by construction. Three pieces:
 //!
 //! * **listener** — a `std::net` TCP accept loop (the workspace is
 //!   dependency-free; no async runtime). Each connection gets a reader
-//!   thread (line framing, byte cap, UTF-8 check, admission) and a
-//!   writer thread (responses flow back through a per-connection
-//!   channel, re-sequenced so they leave in request order);
+//!   thread (framing plus admission) and a writer thread (responses
+//!   flow back through a per-connection channel, re-sequenced so they
+//!   leave in request order);
 //! * **worker pool** — N workers, each owning its *own* model instance
-//!   and a [`lkmm_service::BatchChecker`] over a *shared*
+//!   and a one-column [`lkmm_service::BatchChecker`] over a *shared*
 //!   [`lkmm_service::ShardedStore`] handle, pulling requests from the
-//!   fair [`admission::Admission`] queue and answering them with the
-//!   stdio serve loop's own [`lkmm_service::serve::answer`] — the
-//!   protocol, cache keys, and verdicts are identical to
-//!   `herd-rs serve` on stdin/stdout by construction;
+//!   fair [`admission::Admission`] queue;
 //! * **admission control** — per-client [`lkmm_core::quota`] quotas:
 //!   a lifetime request allowance (over-quota rejections), a bounded
 //!   pending queue (overload rejections), round-robin dequeue across
@@ -44,18 +45,17 @@ use admission::{Admission, Job};
 use lkmm_core::faultpoint;
 use lkmm_core::quota::{ClientQuota, QuotaMeter, RejectKind};
 use lkmm_service::json::Json;
-use lkmm_service::serve::{answer, ServeOptions};
+use lkmm_service::serve::{answer_isolated, read_request, Frame, ServeOptions};
 use lkmm_service::{BatchChecker, ShardedStore};
 use lkmm_exec::ConsistencyModel;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A model constructor the worker pool can call once per worker: each
 /// worker owns its model instance, so nothing in the checking path is
@@ -231,8 +231,11 @@ fn worker_loop(
     let mut checker = BatchChecker::new(model.as_ref(), store, salt)
         .with_jobs(config.jobs)
         .with_budget(config.quota.budget.clone());
+    // The quota budget's time limit is per request, like the stdio
+    // loop's request limit.
+    let limit = config.quota.budget.time_limit.or(config.serve.request_time_limit);
     while let Some(job) = shared.admission.next() {
-        let response = answer_isolated(&mut checker, &job.line, config);
+        let response = answer_isolated(&mut checker, &job.line, limit).to_string();
         // A dead writer (client gone) is the writer thread's problem,
         // not ours.
         let _ = job.reply.send((job.seq, response));
@@ -241,33 +244,14 @@ fn worker_loop(
     let _ = checker.flush();
 }
 
-/// Answer one line with per-request governance: the absolute deadline
-/// is re-armed per request, and a panic is contained into an error
-/// response (the worker's next request starts clean).
-fn answer_isolated(
-    checker: &mut BatchChecker<'_, Arc<ShardedStore>>,
-    line: &str,
-    config: &ServerConfig,
-) -> String {
-    let limit = config.quota.budget.time_limit.or(config.serve.request_time_limit);
-    if let Some(limit) = limit {
-        checker.set_deadline(Some(Instant::now() + limit));
-    }
-    catch_unwind(AssertUnwindSafe(|| answer(checker, line).to_string())).unwrap_or_else(|_| {
-        error_line("internal error: request handler panicked", None)
-    })
-}
-
-fn error_line(message: &str, code: Option<&str>) -> String {
-    let mut fields = vec![("ok", Json::Bool(false)), ("error", Json::str(message))];
-    if let Some(code) = code {
-        fields.push(("code", Json::str(code)));
-    }
-    Json::obj(fields).to_string()
-}
-
+/// A typed admission rejection: the error response plus its `code`.
 fn reject_line(kind: RejectKind) -> String {
-    error_line(&kind.to_string(), Some(kind.code()))
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("error", Json::str(kind.to_string())),
+        ("code", Json::str(kind.code())),
+    ])
+    .to_string()
 }
 
 /// Over-cap connections get one overload line, then the door.
@@ -278,9 +262,9 @@ fn reject_connection(stream: &TcpStream) -> io::Result<()> {
     stream.shutdown(Shutdown::Both)
 }
 
-/// Reader side of one connection: frame lines, enforce the byte cap and
-/// quota, submit admitted work, and hand rejections straight to the
-/// writer (sequence-tagged, so they interleave correctly with worker
+/// Reader side of one connection: frame lines, enforce the quota,
+/// submit admitted work, and hand rejections straight to the writer
+/// (sequence-tagged, so they interleave correctly with worker
 /// responses).
 fn connection_loop(
     client: u64,
@@ -302,51 +286,21 @@ fn connection_loop(
         let writer = scope.spawn(move || writer_loop(write_half, reply_rx));
 
         let mut input = BufReader::new(&stream);
-        let max = config.serve.max_request_bytes;
         let mut seq = 0u64;
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            // Same capped framing as the stdio loop: at most max+1
-            // bytes of one line are ever buffered.
-            let n = match io::Read::take(&mut input, max as u64 + 1).read_until(b'\n', &mut buf) {
-                Ok(n) => n,
-                // Idle timeout, reset, or shutdown: this connection is
-                // done (a half-read line dies with it — mid-request
-                // disconnect costs the client its own request only).
-                Err(_) => break,
-            };
-            if n == 0 {
-                break;
-            }
-            if buf.last() == Some(&b'\n') {
-                buf.pop();
-                if buf.last() == Some(&b'\r') {
-                    buf.pop();
-                }
-            }
-            if buf.len() > max {
-                if drain_line(&mut input).is_err() {
-                    break;
-                }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let msg = format!("request line exceeds {max} bytes");
-                let _ = reply_tx.send((seq, error_line(&msg, None)));
-                seq += 1;
-                continue;
-            }
-            let line = match std::str::from_utf8(&buf) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => line,
-                Err(_) => {
-                    shared.requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply_tx.send((seq, error_line("request line is not valid UTF-8", None)));
+        // Idle timeout, reset, or shutdown ends the connection (a
+        // half-read line dies with it — mid-request disconnect costs the
+        // client its own request only).
+        while let Ok(Some(frame)) = read_request(&mut input, config.serve.max_request_bytes) {
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            let line = match frame {
+                Frame::Request(line) => line,
+                Frame::Rejected(response) => {
+                    let _ = reply_tx.send((seq, response.to_string()));
                     seq += 1;
                     continue;
                 }
             };
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            if is_shutdown(line) {
+            if is_shutdown(&line) {
                 let _ = reply_tx.send((
                     seq,
                     Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::str("shutdown"))])
@@ -364,7 +318,7 @@ fn connection_loop(
                 seq += 1;
                 continue;
             }
-            let job = Job { client, seq, line: line.to_string(), reply: reply_tx.clone() };
+            let job = Job { client, seq, line, reply: reply_tx.clone() };
             if let Err(kind) = shared.admission.submit(job) {
                 shared.overloaded.fetch_add(1, Ordering::Relaxed);
                 let _ = reply_tx.send((seq, reject_line(kind)));
@@ -417,30 +371,11 @@ fn is_shutdown(line: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Discard input up to and including the next newline (or EOF).
-fn drain_line(input: &mut impl BufRead) -> io::Result<()> {
-    loop {
-        let available = input.fill_buf()?;
-        if available.is_empty() {
-            return Ok(());
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                input.consume(pos + 1);
-                return Ok(());
-            }
-            None => {
-                let len = available.len();
-                input.consume(len);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lkmm_exec::model::AllowAll;
+    use std::io::BufRead;
     use std::net::TcpListener;
 
     fn start(

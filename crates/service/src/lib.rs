@@ -18,11 +18,16 @@
 //!   by key prefix behind the same [`store::VerdictLog`] API: parallel
 //!   appends without file contention, per-shard quarantine, and
 //!   threshold-triggered in-place compaction.
-//! * [`batch`] — [`batch::BatchChecker`], which dedupes a corpus by
-//!   canonical key, replays store hits, and schedules only the misses
-//!   across the parallel checking pipeline.
+//! * [`batch`] — [`batch::BatchChecker`], the one checker: N model
+//!   columns (one model is N = 1) over one store. It dedupes a corpus by
+//!   canonical key, replays store hits, and runs one shared enumeration
+//!   per test over the columns that missed. [`batch::CorpusRun`] streams
+//!   the same resolve/check/commit steps unit by unit for the campaign
+//!   driver's worker pool.
 //! * [`serve`] — a JSON-lines request/response loop (`herd-rs serve`)
-//!   exposing check/batch/stats/flush with per-request observability.
+//!   exposing check/batch/stats/flush with per-request observability,
+//!   plus the request framer and per-request isolation the TCP server
+//!   shares.
 //! * [`hash`] / [`json`] — vendored FNV hashing and a minimal JSON
 //!   parser/printer, keeping the workspace dependency-free.
 //!
@@ -36,18 +41,16 @@ pub mod batch;
 pub mod canon;
 pub mod hash;
 pub mod json;
-pub mod multi;
 pub mod serve;
 pub mod shard;
 pub mod store;
 
-pub use batch::{BatchChecker, BatchError, BatchOutcome, BatchReport, Provenance};
-pub use multi::{
-    ColumnReport, CorpusRun, MultiBatchChecker, MultiBatchReport, MultiColumn, UnitChecker,
-    UnitFault, UnitPlan,
+pub use batch::{
+    BatchChecker, BatchError, BatchOutcome, BatchReport, Column, ColumnReport, CorpusRun,
+    Provenance, UnitChecker, UnitFault, UnitPlan,
 };
 pub use canon::{cache_key, cache_key_of_text, canonical_text, canonicalize, CANON_REVISION};
-pub use serve::{serve, serve_with, ServeOptions, ServeSummary};
+pub use serve::{serve_with, ServeOptions, ServeSummary};
 pub use shard::ShardedStore;
 pub use store::{
     CompactReport, MergeReport, RecoveryReport, ScrubReport, ShardStats, StoreError, VerdictLog,

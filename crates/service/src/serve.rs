@@ -19,18 +19,22 @@
 //! provenance (`hit`/`computed`/`deduped`), in-batch dedup counts,
 //! candidates enumerated, and wall-clock micros. Malformed input yields
 //! `{"ok":false,"error":…}` and the loop continues — one bad request
-//! must not take the daemon down.
+//! must not take the daemon down. Requests are answered through a
+//! one-column [`BatchChecker`].
 //!
 //! ## Fault isolation
 //!
 //! The loop is hardened against hostile or broken clients
-//! ([`ServeOptions`]): request lines are read through a byte cap (an
-//! oversized line is drained and answered with an error, never buffered
-//! whole), invalid UTF-8 is an error response, a panic while answering
-//! one request is contained (`catch_unwind`) and reported as an error
-//! response, and an optional per-request deadline bounds each request's
-//! checking time — an over-deadline check comes back `inconclusive`
-//! rather than wedging the daemon. Only transport failures abort.
+//! ([`ServeOptions`]). [`read_request`] frames request lines through a
+//! byte cap (an oversized line is drained and answered with an error,
+//! never buffered whole) and answers invalid UTF-8 with an error.
+//! [`answer_isolated`] contains a panic while answering one request
+//! (`catch_unwind`) as an error response, and arms an optional
+//! per-request deadline that bounds each request's checking time — an
+//! over-deadline check comes back `inconclusive` rather than wedging
+//! the daemon. Only transport failures abort. The TCP server
+//! (`lkmm-server`) frames and answers its connections' lines with the
+//! same two functions, so both transports answer any input alike.
 
 use crate::batch::{BatchChecker, BatchOutcome, BatchReport};
 use crate::json::Json;
@@ -59,27 +63,13 @@ impl Default for ServeOptions {
     }
 }
 
-/// Counters for one [`serve`] session.
+/// Counters for one [`serve_with`] session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Requests answered (including errors).
     pub requests: usize,
     /// Requests answered with `"ok":false`.
     pub errors: usize,
-}
-
-/// [`serve_with`] under default [`ServeOptions`].
-///
-/// # Errors
-///
-/// Only transport failures (reading `input`, writing `output`) abort the
-/// loop; per-request failures become `"ok":false` responses.
-pub fn serve<S: VerdictLog>(
-    checker: &mut BatchChecker<'_, S>,
-    input: impl BufRead,
-    output: impl Write,
-) -> io::Result<ServeSummary> {
-    serve_with(checker, input, output, &ServeOptions::default())
 }
 
 /// Run the request loop until end-of-input, answering through `checker`.
@@ -96,32 +86,10 @@ pub fn serve_with<S: VerdictLog>(
     opts: &ServeOptions,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    let max = opts.max_request_bytes;
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // Read through a cap: at most max+1 bytes are ever buffered, so
-        // a client cannot make the daemon hold an unbounded line.
-        let n = io::Read::take(&mut input, max as u64 + 1).read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            break;
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        let response = if buf.len() > max {
-            // The cap truncated the line mid-way: skip its remainder.
-            drain_line(&mut input)?;
-            error_response(&format!("request line exceeds {max} bytes"))
-        } else {
-            match std::str::from_utf8(&buf) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => answer_isolated(checker, line, opts),
-                Err(_) => error_response("request line is not valid UTF-8"),
-            }
+    while let Some(frame) = read_request(&mut input, opts.max_request_bytes)? {
+        let response = match frame {
+            Frame::Request(line) => answer_isolated(checker, &line, opts.request_time_limit),
+            Frame::Rejected(response) => response,
         };
         summary.requests += 1;
         if response.get("ok") != Some(&Json::Bool(true)) {
@@ -132,6 +100,59 @@ pub fn serve_with<S: VerdictLog>(
     }
     checker.flush()?;
     Ok(summary)
+}
+
+/// One request line, framed.
+#[derive(Debug)]
+pub enum Frame {
+    /// A non-blank UTF-8 request line, its line ending stripped.
+    Request(String),
+    /// A line refused before parsing (oversized, or not UTF-8), already
+    /// consumed from the input: the error response that answers it.
+    Rejected(Json),
+}
+
+/// Read the next request line from `input`, skipping blank lines;
+/// `None` at end of input. At most `max_request_bytes + 1` bytes of a
+/// line are ever buffered: a longer line is drained to its newline and
+/// comes back [`Frame::Rejected`], as does a line that is not UTF-8.
+///
+/// # Errors
+///
+/// Read failures on `input`.
+pub fn read_request(
+    input: &mut impl BufRead,
+    max_request_bytes: usize,
+) -> io::Result<Option<Frame>> {
+    let max = max_request_bytes;
+    loop {
+        let mut buf = Vec::new();
+        // Read through a cap, so a client cannot make the daemon hold
+        // an unbounded line.
+        if io::Read::take(&mut *input, max as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(None);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        if buf.len() > max {
+            // The cap truncated the line mid-way: skip its remainder.
+            drain_line(input)?;
+            let message = format!("request line exceeds {max} bytes");
+            return Ok(Some(Frame::Rejected(error_response(&message))));
+        }
+        match String::from_utf8(buf) {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => return Ok(Some(Frame::Request(line))),
+            Err(_) => {
+                let response = error_response("request line is not valid UTF-8");
+                return Ok(Some(Frame::Rejected(response)));
+            }
+        }
+    }
 }
 
 /// Discard input up to and including the next newline (or end-of-input).
@@ -154,15 +175,16 @@ fn drain_line(input: &mut impl BufRead) -> io::Result<()> {
     }
 }
 
-/// Answer one request with the session's per-request governance: the
-/// deadline is (re)armed for this request, and a panic anywhere in the
-/// handler is contained into an error response.
-fn answer_isolated<S: VerdictLog>(
+/// Answer one request with per-request governance: `time_limit`, if
+/// any, is armed as an absolute deadline for this request, and a panic
+/// anywhere in the handler is contained into an error response (the
+/// checker's next request starts clean).
+pub fn answer_isolated<S: VerdictLog>(
     checker: &mut BatchChecker<'_, S>,
     line: &str,
-    opts: &ServeOptions,
+    time_limit: Option<Duration>,
 ) -> Json {
-    if let Some(limit) = opts.request_time_limit {
+    if let Some(limit) = time_limit {
         checker.set_deadline(Some(Instant::now() + limit));
     }
     catch_unwind(AssertUnwindSafe(|| answer(checker, line)))
@@ -302,24 +324,25 @@ fn outcome_fields(outcome: &BatchOutcome) -> Vec<(&'static str, Json)> {
 }
 
 fn batch_response(report: &BatchReport) -> Json {
+    let col = &report.columns[0];
     let results: Vec<Json> =
-        report.outcomes.iter().map(|o| Json::Obj(
+        col.outcomes.iter().flatten().map(|o| Json::Obj(
             outcome_fields(o).into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         )).collect();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("op", Json::str("batch")),
-        ("count", Json::num(report.outcomes.len() as u64)),
-        ("hits", Json::num(report.hits as u64)),
-        ("computed", Json::num(report.computed as u64)),
-        ("deduped", Json::num(report.deduped as u64)),
+        ("count", Json::num(results.len() as u64)),
+        ("hits", Json::num(col.hits as u64)),
+        ("computed", Json::num(col.computed as u64)),
+        ("deduped", Json::num(col.deduped as u64)),
     ];
     // Emitted only when present, so budget-free sessions stay
     // byte-identical to older builds.
-    if report.inconclusive > 0 {
-        fields.push(("inconclusive", Json::num(report.inconclusive as u64)));
+    if col.inconclusive > 0 {
+        fields.push(("inconclusive", Json::num(col.inconclusive as u64)));
     }
-    fields.push(("candidates_enumerated", Json::num(report.candidates_enumerated as u64)));
+    fields.push(("candidates_enumerated", Json::num(col.candidates_enumerated as u64)));
     fields.push(("micros", Json::num(report.micros as u64)));
     fields.push(("results", Json::Arr(results)));
     Json::obj(fields)
@@ -422,7 +445,8 @@ mod tests {
         let mut c = checker();
         let input = "not json\n{\"op\":\"nope\"}\n\n{\"op\":\"stats\"}\n";
         let mut out = Vec::new();
-        let summary = serve(&mut c, input.as_bytes(), &mut out).unwrap();
+        let summary =
+            serve_with(&mut c, input.as_bytes(), &mut out, &ServeOptions::default()).unwrap();
         assert_eq!(summary, ServeSummary { requests: 3, errors: 2 });
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(lines.len(), 3);
@@ -489,7 +513,7 @@ mod tests {
         let mut input: Vec<u8> = vec![0xff, 0xfe, 0x80, b'\n'];
         input.extend_from_slice(b"{\"op\":\"stats\"}\n");
         let mut out = Vec::new();
-        let summary = serve(&mut c, &input[..], &mut out).unwrap();
+        let summary = serve_with(&mut c, &input[..], &mut out, &ServeOptions::default()).unwrap();
         assert_eq!(summary, ServeSummary { requests: 2, errors: 1 });
         assert!(std::str::from_utf8(&out).unwrap().contains("not valid UTF-8"));
     }
@@ -509,6 +533,32 @@ mod tests {
         let stats = answer(&mut c, r#"{"op":"stats"}"#);
         assert_eq!(stats.get("session_inconclusive").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("entries").and_then(Json::as_u64), Some(0), "never cached");
+    }
+
+    /// A passed deadline stops only what still needs checking: the
+    /// store answers its hits as before, and the miss is inconclusive
+    /// and never stored.
+    #[test]
+    fn expired_deadline_batch_keeps_hits_and_stores_nothing() {
+        let mut c = checker();
+        let warm = answer(&mut c, r#"{"op":"check","name":"SB"}"#);
+        assert_eq!(warm.get("cache").and_then(Json::as_str), Some("computed"));
+        c.set_deadline(Some(Instant::now()));
+        let response = answer(&mut c, r#"{"op":"batch","names":["SB","MP"]}"#);
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(response.get("hits").and_then(Json::as_u64), Some(1));
+        assert_eq!(response.get("computed").and_then(Json::as_u64), Some(0));
+        assert_eq!(response.get("inconclusive").and_then(Json::as_u64), Some(1));
+        let results = response.get("results").unwrap().as_arr().unwrap();
+        assert_eq!(results[0].get("cache").and_then(Json::as_str), Some("hit"));
+        assert_eq!(results[0].get("verdict"), warm.get("verdict"));
+        assert_eq!(results[1].get("inconclusive"), Some(&Json::Bool(true)));
+        assert_eq!(
+            results[1].get("reason").and_then(Json::as_str),
+            Some("wall-clock deadline exceeded")
+        );
+        let stats = answer(&mut c, r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("entries").and_then(Json::as_u64), Some(1), "nothing stored");
     }
 
     #[test]

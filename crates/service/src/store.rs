@@ -868,9 +868,9 @@ pub struct ShardStats {
 /// The storage behaviour the checking layers actually need: keyed
 /// verdict lookup, append, and durability — the [`VerdictStore`] API
 /// minus maintenance statics. Splitting this out lets
-/// [`crate::BatchChecker`] and [`crate::MultiBatchChecker`] run
-/// unchanged over a plain store, a shared [`crate::ShardedStore`]
-/// handle, or anything else that can answer these six questions.
+/// [`crate::BatchChecker`] run unchanged over a plain store, a shared
+/// [`crate::ShardedStore`] handle, or anything else that can answer
+/// these six questions.
 ///
 /// `get` returns an owned result (not `&TestResult`) so that
 /// lock-guarded backends can release their lock before returning.

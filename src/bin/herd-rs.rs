@@ -1615,8 +1615,9 @@ fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail_code(EXIT_STORE, &e.to_string()),
     };
-    debug_assert_eq!(report.outcomes.len(), lkmm_litmus::library::all().len());
-    for outcome in &report.outcomes {
+    let col = &report.columns[0];
+    debug_assert_eq!(col.outcomes.len(), lkmm_litmus::library::all().len());
+    for outcome in col.outcomes.iter().flatten() {
         match &outcome.outcome {
             CheckOutcome::Complete(result) => println!("{}", library_line(&outcome.name, result)),
             CheckOutcome::Inconclusive { reason, partial } => {
@@ -1626,11 +1627,11 @@ fn library_via_store(cli: &Cli, store_path: &str) -> ExitCode {
     }
     eprintln!(
         "herd-rs: store {store_path}: {} hits, {} computed, {} deduped, {}{} candidates enumerated, {} us",
-        report.hits,
-        report.computed,
-        report.deduped,
-        if report.inconclusive > 0 { format!("{} inconclusive, ", report.inconclusive) } else { String::new() },
-        report.candidates_enumerated,
+        col.hits,
+        col.computed,
+        col.deduped,
+        if col.inconclusive > 0 { format!("{} inconclusive, ", col.inconclusive) } else { String::new() },
+        col.candidates_enumerated,
         report.micros
     );
     if let Some(stats) = &stats {

@@ -169,7 +169,10 @@ fn invalid_utf8_request_is_an_error_response() {
 mod tcp {
     use linux_kernel_memory_model::exec::model::AllowAll;
     use linux_kernel_memory_model::server::{serve_tcp, ServerConfig, ServerSummary};
-    use linux_kernel_memory_model::service::{ServeOptions, ShardedStore};
+    use linux_kernel_memory_model::service::json::Json;
+    use linux_kernel_memory_model::service::{
+        serve_with, BatchChecker, ServeOptions, ShardedStore, VerdictStore,
+    };
     use lkmm_core::quota::ClientQuota;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -177,12 +180,14 @@ mod tcp {
     use std::thread;
     use std::time::Duration;
 
+    const SALT: &str = "hostile-tcp";
+
     fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<ServerSummary>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = thread::spawn(move || {
             let store = Arc::new(ShardedStore::in_memory(2));
-            serve_tcp(listener, &|| Box::new(AllowAll), "hostile-tcp", store, &config)
+            serve_tcp(listener, &|| Box::new(AllowAll), SALT, store, &config)
                 .expect("server survives hostile clients")
         });
         (addr, handle)
@@ -199,6 +204,65 @@ mod tcp {
 
     fn shutdown(addr: SocketAddr) {
         let _ = roundtrip(addr, &[r#"{"op":"shutdown"}"#]);
+    }
+
+    /// Drop the wall-clock field, the one part of a response that may
+    /// differ between two transports answering the same line.
+    fn without_micros(line: &str) -> String {
+        match Json::parse(line) {
+            Ok(Json::Obj(mut fields)) => {
+                fields.retain(|(k, _)| k != "micros");
+                Json::Obj(fields).to_string()
+            }
+            _ => line.to_string(),
+        }
+    }
+
+    /// TCP serve frames request lines exactly like stdio serve: one
+    /// input, byte for byte, gets the same responses from both.
+    #[test]
+    fn tcp_and_stdio_frame_the_same_input_alike() {
+        let opts = ServeOptions { max_request_bytes: 64, ..ServeOptions::default() };
+        let mut input: Vec<u8> = Vec::new();
+        // An oversized line under the small cap.
+        let oversized = format!("{{\"op\":\"check\",\"source\":\"{}\"}}\n", "x".repeat(1000));
+        input.extend_from_slice(oversized.as_bytes());
+        // Invalid UTF-8.
+        input.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']);
+        // A CRLF line ending.
+        input.extend_from_slice(b"{\"op\":\"check\",\"name\":\"SB\"}\r\n");
+        // Blank lines.
+        input.extend_from_slice(b"\n  \n\r\n");
+        // Malformed JSON.
+        input.extend_from_slice(b"{\"op\":\n");
+        // A valid check.
+        input.extend_from_slice(b"{\"op\":\"check\",\"name\":\"MP\"}\n");
+
+        let mut checker = BatchChecker::new(&AllowAll, VerdictStore::in_memory(), SALT);
+        let mut out = Vec::new();
+        serve_with(&mut checker, &input[..], &mut out, &opts).unwrap();
+        let stdio: Vec<String> =
+            String::from_utf8(out).unwrap().lines().map(without_micros).collect();
+
+        let (addr, handle) = start(ServerConfig { serve: opts, ..ServerConfig::default() });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&input).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let tcp: Vec<String> = BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+            .map(|l| without_micros(&l))
+            .collect();
+        shutdown(addr);
+        handle.join().unwrap();
+
+        assert_eq!(stdio.len(), 5, "blank lines are skipped: {stdio:?}");
+        assert!(stdio[0].contains("request line exceeds 64 bytes"), "{}", stdio[0]);
+        assert!(stdio[1].contains("not valid UTF-8"), "{}", stdio[1]);
+        assert!(stdio[2].contains("\"name\":\"SB\""), "{}", stdio[2]);
+        assert!(stdio[3].contains("bad request"), "{}", stdio[3]);
+        assert!(stdio[4].contains("\"name\":\"MP\""), "{}", stdio[4]);
+        assert_eq!(tcp, stdio);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! deterministic partial tallies (PR-3 semantics).
 
 use linux_kernel_memory_model::litmus::{self, ast::Test};
-use linux_kernel_memory_model::service::{
-    BatchChecker, MultiBatchChecker, MultiColumn, VerdictStore,
-};
+use linux_kernel_memory_model::service::{BatchChecker, Column, VerdictStore};
 use linux_kernel_memory_model::{Budget, Herd, ModelChoice, MultiCheckOutcome};
 use std::path::PathBuf;
 
@@ -70,19 +68,19 @@ fn store_backed_model_set_is_bit_identical_cold_and_warm() {
     let models: Vec<_> = ALL.iter().map(|c| c.model()).collect();
     let salts: Vec<String> =
         models.iter().map(|m| format!("mm|col:{}", m.name())).collect();
-    let columns = || -> Vec<MultiColumn<'_>> {
+    let columns = || -> Vec<Column<'_>> {
         models
             .iter()
             .zip(&salts)
-            .map(|(m, salt)| MultiColumn { model: m.as_ref(), salt: salt.clone() })
+            .map(|(m, salt)| Column { model: m.as_ref(), salt: salt.clone() })
             .collect()
     };
     let mask = vec![vec![true; tests.len()]; models.len()];
 
     let cold = {
         let store = VerdictStore::open(&path).unwrap();
-        let mut multi = MultiBatchChecker::new(columns(), store).with_jobs(2);
-        multi.check_corpus(&tests, &mask).unwrap()
+        let mut multi = BatchChecker::new_multi(columns(), store).with_jobs(2);
+        multi.check_corpus_masked(&tests, &mask).unwrap()
     };
     assert_eq!(cold.enumeration_passes + cold.columns[0].deduped, tests.len());
     assert!(cold.candidates_actual > 0);
@@ -91,13 +89,13 @@ fn store_backed_model_set_is_bit_identical_cold_and_warm() {
     // BatchChecker built with the same salt on its own cold store.
     for (c, (model, salt)) in models.iter().zip(&salts).enumerate() {
         let mut single = BatchChecker::new(model.as_ref(), VerdictStore::in_memory(), salt);
-        let seq = single.check_corpus(&tests).unwrap();
+        let seq = single.check_corpus(&tests).unwrap().columns.remove(0);
         assert_eq!(cold.columns[c].hits, seq.hits);
         assert_eq!(cold.columns[c].computed, seq.computed);
         assert_eq!(cold.columns[c].deduped, seq.deduped);
         assert_eq!(cold.columns[c].candidates_enumerated, seq.candidates_enumerated);
         for (m, s) in cold.columns[c].outcomes.iter().zip(&seq.outcomes) {
-            let m = m.as_ref().unwrap();
+            let (m, s) = (m.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(m.key, s.key, "{}: cache key diverged", s.name);
             assert_eq!(m.outcome.result(), s.outcome.result(), "{}: verdict diverged", s.name);
             assert_eq!(m.provenance, s.provenance, "{}: provenance diverged", s.name);
@@ -108,8 +106,8 @@ fn store_backed_model_set_is_bit_identical_cold_and_warm() {
     // every slot answered, results identical to the cold pass.
     let store = VerdictStore::open(&path).unwrap();
     assert_eq!(store.recovery().truncated_bytes(), 0);
-    let mut multi = MultiBatchChecker::new(columns(), store).with_jobs(8);
-    let warm = multi.check_corpus(&tests, &mask).unwrap();
+    let mut multi = BatchChecker::new_multi(columns(), store).with_jobs(8);
+    let warm = multi.check_corpus_masked(&tests, &mask).unwrap();
     assert_eq!(warm.enumeration_passes, 0);
     assert_eq!(warm.candidates_actual, 0);
     for (c, w) in cold.columns.iter().zip(&warm.columns) {

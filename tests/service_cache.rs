@@ -28,7 +28,7 @@ fn warm_library_pass_is_pure_replay_with_identical_results() {
         let store = VerdictStore::open(&path).unwrap();
         assert_eq!(store.len(), 0);
         let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
+        checker.check_library().unwrap().columns.remove(0)
     };
     assert_eq!(cold.hits, 0);
     assert!(cold.computed > 0);
@@ -39,13 +39,13 @@ fn warm_library_pass_is_pure_replay_with_identical_results() {
     assert_eq!(store.recovery().truncated_bytes(), 0);
     assert_eq!(store.len(), cold.computed);
     let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = checker.check_library().unwrap().columns.remove(0);
     assert_eq!(warm.computed, 0);
     assert_eq!(warm.candidates_enumerated, 0);
     assert_eq!(warm.hits, cold.computed + cold.hits);
     assert_eq!(warm.deduped, cold.deduped);
     assert_eq!(cold.outcomes.len(), warm.outcomes.len());
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
+    for (c, w) in cold.outcomes.iter().flatten().zip(warm.outcomes.iter().flatten()) {
         assert_eq!(c.name, w.name);
         assert_eq!(c.key, w.key);
         assert_eq!(c.result(), w.result(), "{}: warm result differs from cold", c.name);
@@ -63,7 +63,7 @@ fn torn_tail_is_truncated_and_recomputed() {
     let cold = {
         let store = VerdictStore::open(&path).unwrap();
         let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
+        checker.check_library().unwrap().columns.remove(0)
     };
 
     // Tear the last record: chop a few bytes off, as a crash mid-append
@@ -77,9 +77,9 @@ fn torn_tail_is_truncated_and_recomputed() {
     assert!(store.recovery().truncated_bytes() > 0, "torn tail went unnoticed");
     assert_eq!(store.recovery().records, cold.computed - 1, "more than the tail was lost");
     let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = checker.check_library().unwrap().columns.remove(0);
     assert_eq!(warm.computed, 1, "exactly the torn record should recompute");
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
+    for (c, w) in cold.outcomes.iter().flatten().zip(warm.outcomes.iter().flatten()) {
         assert_eq!(c.result(), w.result(), "{}: result changed across recovery", c.name);
     }
 
@@ -89,7 +89,7 @@ fn torn_tail_is_truncated_and_recomputed() {
     let store = VerdictStore::open(&path).unwrap();
     assert_eq!(store.recovery().truncated_bytes(), 0);
     let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let third = checker.check_library().unwrap();
+    let third = checker.check_library().unwrap().columns.remove(0);
     assert_eq!(third.computed, 0);
 
     std::fs::remove_file(&path).unwrap();
@@ -103,7 +103,7 @@ fn corrupt_mid_record_keeps_the_valid_prefix() {
     let cold = {
         let store = VerdictStore::open(&path).unwrap();
         let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-        checker.check_library().unwrap()
+        checker.check_library().unwrap().columns.remove(0)
     };
 
     // Flip one byte halfway into the log: the checksum of the record it
@@ -126,10 +126,10 @@ fn corrupt_mid_record_keeps_the_valid_prefix() {
     assert!(store.recovery().truncated_bytes() > 0);
 
     let mut checker = BatchChecker::new(model.as_ref(), store, "it");
-    let warm = checker.check_library().unwrap();
+    let warm = checker.check_library().unwrap().columns.remove(0);
     assert_eq!(warm.computed, cold.computed - recovered);
     assert_eq!(warm.hits + warm.deduped + warm.computed, cold.outcomes.len());
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
+    for (c, w) in cold.outcomes.iter().flatten().zip(warm.outcomes.iter().flatten()) {
         assert_eq!(c.result(), w.result(), "{}: result changed across recovery", c.name);
     }
 
